@@ -2,8 +2,8 @@
 //! poison-tolerant [`lock`].
 //!
 //! [`par_map`] is the workspace's one thread fan-out: design-space sweeps,
-//! Monte-Carlo ensembles, symbolic-regression fitness evaluation and the
-//! serve worker pool all call it. Workers pull items from a shared queue
+//! Monte-Carlo ensembles, symbolic-regression restarts and the serve
+//! worker pool all call it. Workers pull items from a shared queue
 //! and every result goes back to its item's index, so the output never
 //! depends on scheduling or on the thread count (DESIGN §6: parallelism
 //! never leaks into results).

@@ -5,7 +5,8 @@
 //!
 //! commands:
 //!   fig1 table2 fig5 fig6 table3 fig7 fig8 table4 fig9
-//!   cases24 ablation-models ablation-mc ablation-period
+//!   cases24 ablation-models ablation-mc ablation-period ablation-abft
+//!   ablation-granularity arch-dse
 //!   all
 //! ```
 //!
@@ -22,7 +23,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <command> [--quick]\n\
          commands: fig1 table2 fig5 fig6 table3 fig7 fig8 table4 fig9\n\
-         \u{20}         cases24 ablation-models ablation-mc ablation-period ablation-abft all"
+         \u{20}         cases24 ablation-models ablation-mc ablation-period ablation-abft\n\
+         \u{20}         ablation-granularity arch-dse all"
     );
     std::process::exit(2);
 }

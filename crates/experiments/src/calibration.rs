@@ -11,6 +11,7 @@
 
 use besst_apps::InstrumentedRegion;
 use besst_des::buggify::SplitMix64;
+use besst_des::threads::par_map;
 use besst_machine::{Machine, Testbed};
 use besst_models::{
     mape, powerlaw, symreg, train_test_split, Dataset, Interpolation, ModelBundle, PerfModel,
@@ -179,11 +180,12 @@ where
 }
 
 /// Fit symbolic regression with restarts; the model with the best
-/// held-out MAPE wins (falls back to train MAPE for tiny datasets).
+/// held-out MAPE wins (falls back to train MAPE for tiny datasets). The
+/// restarts are independent fits and run in parallel; the winner is the
+/// first restart with the lowest score, whatever order they finish in.
 fn fit_symreg_best(x: &[Vec<f64>], y: &[f64], cfg: &CalibrationConfig) -> besst_models::Expr {
     let data = Dataset::new(x.to_vec(), y.to_vec());
-    let mut best: Option<(f64, besst_models::Expr)> = None;
-    for restart in 0..cfg.symreg_restarts.max(1) {
+    let fits = par_map(0, 0..cfg.symreg_restarts.max(1), |restart| {
         let (train_idx, test_idx) =
             train_test_split(data.len(), cfg.test_frac, cfg.seed ^ (restart as u64 * 7919));
         let train = data.subset(&train_idx);
@@ -191,9 +193,12 @@ fn fit_symreg_best(x: &[Vec<f64>], y: &[f64], cfg: &CalibrationConfig) -> besst_
         let mut sr = cfg.symreg.clone();
         sr.seed = cfg.symreg.seed.wrapping_add(restart as u64 * 0x5EED);
         let result = symreg::fit(&train, Some(&test), &sr);
-        let score = result.test_mape.unwrap_or(result.train_mape);
+        (result.test_mape.unwrap_or(result.train_mape), result.expr)
+    });
+    let mut best: Option<(f64, besst_models::Expr)> = None;
+    for (score, expr) in fits {
         if best.as_ref().is_none_or(|(s, _)| score < *s) {
-            best = Some((score, result.expr));
+            best = Some((score, expr));
         }
     }
     // Final refit criterion: the winning expression, judged on all means.

@@ -1,6 +1,7 @@
 //! Expression trees for symbolic regression.
 //!
-//! The genome of the genetic-programming fitter in [`crate::symreg`]:
+//! The model type the genetic-programming fitter in [`crate::symreg`]
+//! produces (it evolves the flat [`crate::genome::Genome`] form):
 //! arithmetic expression trees over input variables, constants, and a set
 //! of protected operators. "Protected" means every operator is total —
 //! division by (near-)zero, logs of non-positive numbers, etc. return
@@ -49,6 +50,24 @@ impl BinOp {
             BinOp::Div => "/",
         }
     }
+
+    /// Apply the operator to `a` (left) and `b` (right).
+    #[inline]
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            // `<`, not `>=`: a NaN divisor still divides.
+            BinOp::Div => {
+                if b.abs() < 1e-12 {
+                    a
+                } else {
+                    a / b
+                }
+            }
+        }
+    }
 }
 
 impl UnOp {
@@ -62,6 +81,17 @@ impl UnOp {
             UnOp::Log => "log1p",
             UnOp::Sq => "sq",
             UnOp::Cube => "cube",
+        }
+    }
+
+    /// Apply the operator.
+    #[inline]
+    pub fn apply(self, v: f64) -> f64 {
+        match self {
+            UnOp::Sqrt => v.abs().sqrt(),
+            UnOp::Log => (v.abs() + 1.0).ln(),
+            UnOp::Sq => v * v,
+            UnOp::Cube => v * v * v,
         }
     }
 }
@@ -90,31 +120,8 @@ impl Expr {
                 assert!(*i < x.len(), "variable {i} out of range for {} inputs", x.len());
                 x[*i]
             }
-            Expr::Unary(op, a) => {
-                let v = a.eval(x);
-                match op {
-                    UnOp::Sqrt => v.abs().sqrt(),
-                    UnOp::Log => (v.abs() + 1.0).ln(),
-                    UnOp::Sq => v * v,
-                    UnOp::Cube => v * v * v,
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = a.eval(x);
-                let vb = b.eval(x);
-                match op {
-                    BinOp::Add => va + vb,
-                    BinOp::Sub => va - vb,
-                    BinOp::Mul => va * vb,
-                    BinOp::Div => {
-                        if vb.abs() < 1e-12 {
-                            va
-                        } else {
-                            va / vb
-                        }
-                    }
-                }
-            }
+            Expr::Unary(op, a) => op.apply(a.eval(x)),
+            Expr::Binary(op, a, b) => op.apply(a.eval(x), b.eval(x)),
         }
     }
 
@@ -134,93 +141,6 @@ impl Expr {
             Expr::Unary(_, a) => 1 + a.depth(),
             Expr::Binary(_, a, b) => 1 + a.depth().max(b.depth()),
         }
-    }
-
-    /// Borrow the node at pre-order index `idx` (0 = root).
-    pub fn node_at(&self, idx: usize) -> Option<&Expr> {
-        fn walk<'a>(e: &'a Expr, idx: usize, counter: &mut usize) -> Option<&'a Expr> {
-            if *counter == idx {
-                return Some(e);
-            }
-            *counter += 1;
-            match e {
-                Expr::Const(_) | Expr::Var(_) => None,
-                Expr::Unary(_, a) => walk(a, idx, counter),
-                Expr::Binary(_, a, b) => {
-                    walk(a, idx, counter).or_else(|| walk(b, idx, counter))
-                }
-            }
-        }
-        walk(self, idx, &mut 0)
-    }
-
-    /// Replace the node at pre-order index `idx` with `new`, returning the
-    /// modified tree (self is consumed).
-    pub fn replace_at(self, idx: usize, new: Expr) -> Expr {
-        fn walk(e: Expr, idx: usize, counter: &mut usize, new: &mut Option<Expr>) -> Expr {
-            if *counter == idx {
-                *counter += 1;
-                // lint: allow(panic-path) -- `counter` passes `idx` exactly once
-                return new.take().expect("replacement applied twice");
-            }
-            *counter += 1;
-            match e {
-                leaf @ (Expr::Const(_) | Expr::Var(_)) => leaf,
-                Expr::Unary(op, a) => Expr::Unary(op, Box::new(walk(*a, idx, counter, new))),
-                Expr::Binary(op, a, b) => {
-                    let a = walk(*a, idx, counter, new);
-                    let b = walk(*b, idx, counter, new);
-                    Expr::Binary(op, Box::new(a), Box::new(b))
-                }
-            }
-        }
-        let mut new = Some(new);
-        let out = walk(self, idx, &mut 0, &mut new);
-        assert!(new.is_none(), "replace index {idx} out of range");
-        out
-    }
-
-    /// Collect the constants in pre-order (for constant optimization).
-    pub fn constants(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        fn walk(e: &Expr, out: &mut Vec<f64>) {
-            match e {
-                Expr::Const(c) => out.push(*c),
-                Expr::Var(_) => {}
-                Expr::Unary(_, a) => walk(a, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
-
-    /// Rewrite the constants in pre-order from `values` (must match
-    /// [`Expr::constants`] count).
-    pub fn with_constants(&self, values: &[f64]) -> Expr {
-        fn walk(e: &Expr, values: &[f64], i: &mut usize) -> Expr {
-            match e {
-                Expr::Const(_) => {
-                    let v = values[*i];
-                    *i += 1;
-                    Expr::Const(v)
-                }
-                Expr::Var(v) => Expr::Var(*v),
-                Expr::Unary(op, a) => Expr::Unary(*op, Box::new(walk(a, values, i))),
-                Expr::Binary(op, a, b) => Expr::Binary(
-                    *op,
-                    Box::new(walk(a, values, i)),
-                    Box::new(walk(b, values, i)),
-                ),
-            }
-        }
-        let mut i = 0;
-        let out = walk(self, values, &mut i);
-        assert_eq!(i, values.len(), "constant count mismatch");
-        out
     }
 
     /// Rewrite every `Var(i)` as `Var(i) * scales[i]` — used to undo input
@@ -254,7 +174,7 @@ impl Expr {
             Expr::Unary(op, a) => {
                 let a = a.simplify();
                 if let Expr::Const(c) = a {
-                    return Expr::Const(Expr::Unary(op, Box::new(Expr::Const(c))).eval(&[]));
+                    return Expr::Const(op.apply(c));
                 }
                 Expr::Unary(op, Box::new(a))
             }
@@ -262,16 +182,7 @@ impl Expr {
                 let a = a.simplify();
                 let b = b.simplify();
                 match (&a, &b) {
-                    (Expr::Const(ca), Expr::Const(cb)) => {
-                        return Expr::Const(
-                            Expr::Binary(
-                                op,
-                                Box::new(Expr::Const(*ca)),
-                                Box::new(Expr::Const(*cb)),
-                            )
-                            .eval(&[]),
-                        );
-                    }
+                    (Expr::Const(ca), Expr::Const(cb)) => return Expr::Const(op.apply(*ca, *cb)),
                     (_, Expr::Const(c)) if *c == 0.0 && matches!(op, BinOp::Add | BinOp::Sub) => {
                         return a;
                     }
@@ -295,33 +206,15 @@ impl Expr {
     }
 
     /// Generate a random tree with the "grow" method: leaves become more
-    /// likely as depth increases, hard cap at `max_depth`.
+    /// likely as depth increases, hard cap at `max_depth`
+    /// ([`Genome::grow`](crate::genome::Genome::grow), as a tree).
     pub fn random(
         rng: &mut SplitMix64,
         n_vars: usize,
         max_depth: usize,
         const_range: (f64, f64),
     ) -> Expr {
-        assert!(n_vars >= 1, "need at least one input variable");
-        assert!(max_depth >= 1, "depth must be at least 1");
-        if max_depth == 1 || rng.chance(0.3) {
-            // Leaf: variable-biased (constants are refined later).
-            if rng.chance(0.6) {
-                Expr::Var(rng.next_below(n_vars as u64) as usize)
-            } else {
-                Expr::Const(rng.uniform_inclusive(const_range.0, const_range.1))
-            }
-        } else if rng.chance(0.25) {
-            let op = UnOp::ALL[rng.next_below(4) as usize];
-            Expr::Unary(op, Box::new(Expr::random(rng, n_vars, max_depth - 1, const_range)))
-        } else {
-            let op = BinOp::ALL[rng.next_below(4) as usize];
-            Expr::Binary(
-                op,
-                Box::new(Expr::random(rng, n_vars, max_depth - 1, const_range)),
-                Box::new(Expr::random(rng, n_vars, max_depth - 1, const_range)),
-            )
-        }
+        crate::genome::Genome::grow(rng, n_vars, max_depth, const_range).to_expr()
     }
 }
 
@@ -382,33 +275,6 @@ mod tests {
         let e = bin(BinOp::Add, x0(), bin(BinOp::Mul, c(2.0), x0()));
         assert_eq!(e.size(), 5);
         assert_eq!(e.depth(), 3);
-    }
-
-    #[test]
-    fn node_at_preorder() {
-        let e = bin(BinOp::Add, x0(), c(7.0));
-        assert!(matches!(e.node_at(0), Some(Expr::Binary(BinOp::Add, _, _))));
-        assert!(matches!(e.node_at(1), Some(Expr::Var(0))));
-        assert!(matches!(e.node_at(2), Some(Expr::Const(_))));
-        assert!(e.node_at(3).is_none());
-    }
-
-    #[test]
-    fn replace_at_swaps_subtree() {
-        let e = bin(BinOp::Add, x0(), c(7.0));
-        let e = e.replace_at(2, c(9.0));
-        assert_eq!(e.eval(&[1.0]), 10.0);
-        let e = e.replace_at(0, c(0.5));
-        assert_eq!(e.eval(&[1.0]), 0.5);
-    }
-
-    #[test]
-    fn constants_roundtrip() {
-        let e = bin(BinOp::Mul, c(2.0), bin(BinOp::Add, x0(), c(3.0)));
-        assert_eq!(e.constants(), vec![2.0, 3.0]);
-        let e2 = e.with_constants(&[4.0, 5.0]);
-        assert_eq!(e2.constants(), vec![4.0, 5.0]);
-        assert_eq!(e2.eval(&[1.0]), 24.0);
     }
 
     #[test]

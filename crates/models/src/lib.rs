@@ -10,9 +10,9 @@
 //! * [`table::SampleTable`] — lookup tables holding the raw sample
 //!   distributions, answering off-grid queries by multilinear
 //!   interpolation ("interpolation method", §III-A);
-//! * [`symreg`] — genetic-programming symbolic regression over
+//! * [`symreg`] — genetic-programming symbolic regression producing
 //!   [`expr::Expr`] trees ("symbolic regression method", §III-A, used by
-//!   the paper's case study);
+//!   the paper's case study), evolved as flat [`genome::Genome`]s;
 //! * [`powerlaw`] — deterministic power-law regression, our ablation
 //!   reference for symreg stability.
 //!
@@ -26,6 +26,7 @@
 
 pub mod codec;
 pub mod expr;
+pub mod genome;
 pub mod model;
 pub mod powerlaw;
 pub mod stats;

@@ -11,13 +11,15 @@
 //! The fitter is a conventional Koza-style GP: tournament selection,
 //! subtree crossover, point/subtree mutation, MAPE fitness with a
 //! parsimony pressure, plus a hill-climbing constant-refinement pass on
-//! the incumbent. Everything is seeded and deterministic; fitness
-//! evaluation fans out over `besst_des::threads::par_map`.
+//! the incumbent. Everything is seeded and deterministic. Evolution runs
+//! on the flat prefix-order [`Genome`] and the column-wise fitness kernel
+//! of [`crate::genome`]; only the winner becomes an [`Expr`]. A fit is
+//! sequential: callers fan out over independent fits (restarts) instead.
 
-use crate::expr::Expr;
+use crate::expr::{BinOp, Expr, UnOp};
+use crate::genome::{Columns, Genome, Node};
 use crate::stats::mape;
 use besst_des::buggify::SplitMix64;
-use besst_des::threads::par_map;
 
 /// A regression dataset: rows of inputs and their targets.
 #[derive(Debug, Clone)]
@@ -116,24 +118,12 @@ pub struct SymRegResult {
     pub history: Vec<f64>,
 }
 
-fn fitness(expr: &Expr, data: &Dataset, parsimony: f64) -> f64 {
-    let mut total = 0.0;
-    for (row, &target) in data.x.iter().zip(&data.y) {
-        let p = expr.eval(row);
-        if !p.is_finite() {
-            return f64::INFINITY;
-        }
-        total += ((p - target) / target).abs();
-    }
-    100.0 * total / data.len() as f64 + parsimony * expr.size() as f64
-}
-
 fn tournament_select<'a>(
-    pop: &'a [(Expr, f64)],
+    pop: &'a [(Genome, f64)],
     k: usize,
     rng: &mut SplitMix64,
-) -> &'a Expr {
-    let mut best: Option<&(Expr, f64)> = None;
+) -> &'a Genome {
+    let mut best: Option<&(Genome, f64)> = None;
     for _ in 0..k {
         let cand = &pop[rng.next_below(pop.len() as u64) as usize];
         if best.is_none_or(|b| cand.1 < b.1) {
@@ -144,90 +134,84 @@ fn tournament_select<'a>(
     &best.expect("tournament of k >= 1").0
 }
 
-fn crossover(a: &Expr, b: &Expr, max_depth: usize, rng: &mut SplitMix64) -> Expr {
-    let donor_idx = rng.next_below(b.size() as u64) as usize;
-    // lint: allow(panic-path) -- `donor_idx < b.size()` by construction
-    let donor = b.node_at(donor_idx).expect("index in range").clone();
-    let target_idx = rng.next_below(a.size() as u64) as usize;
-    let child = a.clone().replace_at(target_idx, donor);
+/// Keep `child` unless it is deeper than `max_depth + 2` (bloat).
+fn unless_bloated(child: Genome, parent: &Genome, max_depth: usize) -> Genome {
     if child.depth() > max_depth + 2 {
-        a.clone() // reject bloated offspring
+        parent.clone()
     } else {
         child
     }
 }
 
-fn mutate(a: &Expr, cfg: &SymRegConfig, n_vars: usize, rng: &mut SplitMix64) -> Expr {
+fn crossover(a: &Genome, b: &Genome, max_depth: usize, rng: &mut SplitMix64) -> Genome {
+    let donor_idx = rng.next_below(b.size() as u64) as usize;
+    let target_idx = rng.next_below(a.size() as u64) as usize;
+    unless_bloated(a.splice(target_idx, b.subtree(donor_idx)), a, max_depth)
+}
+
+fn mutate(a: &Genome, cfg: &SymRegConfig, n_vars: usize, rng: &mut SplitMix64) -> Genome {
     match rng.next_below(3) {
         // Subtree replacement.
         0 => {
             let idx = rng.next_below(a.size() as u64) as usize;
-            let sub = Expr::random(rng, n_vars, 3, cfg.const_range);
-            let child = a.clone().replace_at(idx, sub);
-            if child.depth() > cfg.max_depth + 2 {
-                a.clone()
-            } else {
-                child
-            }
+            let sub = Genome::grow(rng, n_vars, 3, cfg.const_range);
+            unless_bloated(a.splice(idx, sub.nodes()), a, cfg.max_depth)
         }
         // Constant jitter.
         1 => {
-            let consts = a.constants();
-            if consts.is_empty() {
-                Expr::random(rng, n_vars, cfg.max_depth, cfg.const_range)
+            let consts = a.const_count();
+            if consts == 0 {
+                Genome::grow(rng, n_vars, cfg.max_depth, cfg.const_range)
             } else {
-                let mut c = consts.clone();
-                let i = rng.next_below(c.len() as u64) as usize;
+                let i = rng.next_below(consts as u64) as usize;
                 let scale = 1.0 + rng.uniform(-0.3, 0.3);
-                c[i] = c[i] * scale + rng.uniform(-0.5, 0.5);
-                a.with_constants(&c)
+                let mut child = a.clone();
+                child.map_const(i, |c| c * scale + rng.uniform(-0.5, 0.5));
+                child
             }
         }
         // Fresh individual (keeps diversity up).
-        _ => Expr::random(rng, n_vars, cfg.max_depth, cfg.const_range),
+        _ => Genome::grow(rng, n_vars, cfg.max_depth, cfg.const_range),
     }
 }
 
-/// Hill-climb the constants of `expr` against `data` (a few rounds of
-/// multiplicative and additive probes per constant).
-fn refine_constants(expr: &Expr, data: &Dataset, parsimony: f64) -> Expr {
-    let mut best = expr.clone();
-    let mut best_fit = fitness(&best, data, parsimony);
-    for _ in 0..4 {
-        let consts = best.constants();
-        if consts.is_empty() {
-            break;
+/// Hill-climb the constants of `g`, whose fitness is `fit`, against
+/// `data` (a few rounds of multiplicative and additive probes per
+/// constant, each rewriting one `Const` slot of a copy in place).
+fn refine_constants(
+    (g, fit): &(Genome, f64),
+    data: &Columns,
+    parsimony: f64,
+) -> (Genome, f64) {
+    let mut best = g.clone();
+    let mut best_fit = *fit;
+    // Rewrite constant `k` with `f`; keep the rewrite if fitness improves.
+    let mut probe = |best: &mut Genome, k: usize, f: &dyn Fn(f64) -> f64| -> bool {
+        let old = best.map_const(k, f);
+        let fit = data.fitness(best, parsimony);
+        if fit < best_fit {
+            best_fit = fit;
+            true
+        } else {
+            best.map_const(k, |_| old);
+            false
         }
+    };
+    for _ in 0..4 {
         let mut improved = false;
-        for i in 0..consts.len() {
+        for k in 0..best.const_count() {
             for step in [1.1, 0.9, 1.01, 0.99] {
-                let mut c = best.constants();
-                c[i] *= step;
-                let cand = best.with_constants(&c);
-                let f = fitness(&cand, data, parsimony);
-                if f < best_fit {
-                    best_fit = f;
-                    best = cand;
-                    improved = true;
-                }
+                improved |= probe(&mut best, k, &|c| c * step);
             }
             for delta in [0.1, -0.1] {
-                let mut c = best.constants();
-                c[i] += delta;
-                let cand = best.with_constants(&c);
-                let f = fitness(&cand, data, parsimony);
-                if f < best_fit {
-                    best_fit = f;
-                    best = cand;
-                    improved = true;
-                }
+                improved |= probe(&mut best, k, &|c| c + delta);
             }
         }
         if !improved {
             break;
         }
     }
-    best
+    (best, best_fit)
 }
 
 /// Fit an expression to `train`; report accuracy on `test` when given.
@@ -263,7 +247,7 @@ pub fn fit(train: &Dataset, test: Option<&Dataset>, cfg: &SymRegConfig) -> SymRe
         train.y.iter().map(|v| v / y_scale).collect(),
     );
     let raw_train = train;
-    let train = &norm;
+    let train = Columns::new(&norm);
     let mut rng = SplitMix64::new(cfg.seed);
 
     // Initial population: ramped random trees plus seeded templates —
@@ -271,91 +255,70 @@ pub fn fit(train: &Dataset, test: Option<&Dataset>, cfg: &SymRegConfig) -> SymRe
     // runtime models (xᵢ³, xᵢ·xⱼ, xᵢ³·log xⱼ, ...). Seeding priors is
     // standard GP practice and costs nothing: bad seeds die in one
     // generation.
-    use crate::expr::{BinOp, UnOp};
-    let mut pop_exprs: Vec<Expr> = Vec::new();
+    use Node::{Bin, Const, Un, Var};
+    let mut seeds: Vec<Genome> = Vec::new();
     for i in 0..n_vars {
-        let xi = Expr::Var(i);
-        pop_exprs.push(xi.clone());
+        seeds.push(Genome::new(vec![Var(i)]));
         for op in [UnOp::Cube, UnOp::Sq, UnOp::Sqrt, UnOp::Log] {
-            pop_exprs.push(Expr::Unary(op, Box::new(xi.clone())));
+            seeds.push(Genome::new(vec![Un(op), Var(i)]));
         }
-        for j in 0..n_vars {
-            if i == j {
-                continue;
-            }
-            let xj = Expr::Var(j);
-            let cube_i = Expr::Unary(UnOp::Cube, Box::new(xi.clone()));
-            pop_exprs.push(Expr::Binary(BinOp::Mul, Box::new(xi.clone()), Box::new(xj.clone())));
+        let cube_i_times = [Bin(BinOp::Mul), Un(UnOp::Cube), Var(i)];
+        for j in (0..n_vars).filter(|&j| j != i) {
+            seeds.push(Genome::new(vec![Bin(BinOp::Mul), Var(i), Var(j)]));
             for shape in [UnOp::Log, UnOp::Sqrt] {
-                pop_exprs.push(Expr::Binary(
-                    BinOp::Mul,
-                    Box::new(cube_i.clone()),
-                    Box::new(Expr::Unary(shape, Box::new(xj.clone()))),
-                ));
+                seeds.push(Genome::new([&cube_i_times[..], &[Un(shape), Var(j)]].concat()));
             }
             // c·xᵢ³·(1 + d·log xⱼ) — weak multiplicative correction.
-            pop_exprs.push(Expr::Binary(
-                BinOp::Mul,
-                Box::new(cube_i),
-                Box::new(Expr::Binary(
-                    BinOp::Add,
-                    Box::new(Expr::Const(1.0)),
-                    Box::new(Expr::Binary(
-                        BinOp::Mul,
-                        Box::new(Expr::Const(0.1)),
-                        Box::new(Expr::Unary(UnOp::Log, Box::new(xj.clone()))),
-                    )),
-                )),
-            ));
+            let correction =
+                [Bin(BinOp::Add), Const(1.0), Bin(BinOp::Mul), Const(0.1), Un(UnOp::Log), Var(j)];
+            seeds.push(Genome::new([&cube_i_times[..], &correction[..]].concat()));
         }
     }
-    pop_exprs.truncate(cfg.population / 2);
-    while pop_exprs.len() < cfg.population {
+    seeds.truncate(cfg.population / 2);
+    while seeds.len() < cfg.population {
         let depth = rng.range_inclusive(2, cfg.max_depth as u64) as usize;
-        pop_exprs.push(Expr::random(&mut rng, n_vars, depth, cfg.const_range));
+        seeds.push(Genome::grow(&mut rng, n_vars, depth, cfg.const_range));
     }
 
-    let eval_pop = |exprs: Vec<Expr>| -> Vec<(Expr, f64)> {
-        par_map(0, exprs, |e| {
-            let f = fitness(&e, train, cfg.parsimony);
-            (e, f)
-        })
+    let score = |g: Genome| {
+        let f = train.fitness(&g, cfg.parsimony);
+        (g, f)
     };
-
-    let mut pop = eval_pop(pop_exprs);
+    let mut pop: Vec<(Genome, f64)> = seeds.into_iter().map(score).collect();
     let mut history = Vec::with_capacity(cfg.generations);
 
     for gen in 0..cfg.generations {
         pop.sort_by(|a, b| a.1.total_cmp(&b.1));
         history.push(pop[0].1);
 
-        let elite = pop[0].0.clone();
-        let mut next: Vec<Expr> = vec![elite.clone()];
-        // Periodically refine the incumbent's constants.
+        // Elitism: the incumbent survives, and every fifth generation a
+        // copy with refined constants joins it.
+        let mut next = Vec::with_capacity(cfg.population);
+        next.push(pop[0].clone());
         if gen % 5 == 4 {
-            next.push(refine_constants(&elite, train, cfg.parsimony));
+            next.push(refine_constants(&pop[0], &train, cfg.parsimony));
         }
         while next.len() < cfg.population {
             let child = if rng.chance(cfg.crossover_prob) {
-                let a = tournament_select(&pop, cfg.tournament, &mut rng).clone();
-                let b = tournament_select(&pop, cfg.tournament, &mut rng).clone();
-                crossover(&a, &b, cfg.max_depth, &mut rng)
+                let a = tournament_select(&pop, cfg.tournament, &mut rng);
+                let b = tournament_select(&pop, cfg.tournament, &mut rng);
+                crossover(a, b, cfg.max_depth, &mut rng)
             } else {
-                let a = tournament_select(&pop, cfg.tournament, &mut rng).clone();
-                mutate(&a, cfg, n_vars, &mut rng)
+                let a = tournament_select(&pop, cfg.tournament, &mut rng);
+                mutate(a, cfg, n_vars, &mut rng)
             };
-            next.push(child);
+            next.push(score(child));
         }
-        pop = eval_pop(next);
+        pop = next;
     }
 
     pop.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let best_norm = refine_constants(&pop[0].0, train, cfg.parsimony).simplify();
+    let best_norm = refine_constants(&pop[0], &train, cfg.parsimony).0.to_expr().simplify();
 
     // Fold the normalization back in: best(x) = y_scale * best'(x / mean).
     let inv_scales: Vec<f64> = x_mean.iter().map(|m| 1.0 / m).collect();
     let best = Expr::Binary(
-        crate::expr::BinOp::Mul,
+        BinOp::Mul,
         Box::new(Expr::Const(y_scale)),
         Box::new(best_norm.scale_inputs(&inv_scales)),
     )

@@ -93,6 +93,13 @@ doc:
 repro:
     cargo run --release -p besst-experiments --bin repro -- all
 
+# Check that results/ is what the code produces: `repro all` in a scratch
+# directory, byte-compared with the committed CSVs and repro_all.txt
+# (minus its `[repro]` timing lines). CI runs the same script.
+repro-check:
+    cargo build --release -p besst-experiments --bin repro
+    scripts/repro-check.sh
+
 # Pinned-seed benchmark report (results/BENCH_*.json). Regenerates the
 # committed numbers; run on a quiet machine. See docs/PERFORMANCE.md.
 bench-json:

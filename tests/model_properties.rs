@@ -1,9 +1,10 @@
 //! Property tests for the performance-model layer: interpolation bounds,
 //! metric invariants, expression semantics, and fit determinism.
 
+use besst::models::genome::{Columns, Genome, Node};
 use besst::models::{
-    mape, powerlaw, quantile, r_squared, symreg, Dataset, Expr, Interpolation, PerfModel,
-    SampleTable, SymRegConfig,
+    mape, powerlaw, quantile, r_squared, symreg, train_test_split, Dataset, Expr, Interpolation,
+    PerfModel, SampleTable, SymRegConfig,
 };
 use besst_des::buggify::SplitMix64;
 use common::{check, vec_of};
@@ -149,8 +150,10 @@ fn regression_sampling_matches_residual_spread() {
     );
 }
 
-/// Symbolic regression is bit-deterministic per seed even with parallel
-/// fitness evaluation.
+/// Symbolic regression is bit-deterministic per seed: a fit is sequential
+/// and draws every random choice from its own seeded stream, so repeated
+/// fits (and fits running side by side, as calibration's restarts do)
+/// agree exactly.
 #[test]
 fn symreg_parallel_determinism() {
     let x: Vec<Vec<f64>> = (1..=12).map(|i| vec![i as f64, (i * i) as f64]).collect();
@@ -199,5 +202,128 @@ fn bundle_persistence_preserves_predictions() {
             let b = back.get(name).unwrap().predict(&[q]);
             assert_eq!(a.to_bits(), b.to_bits(), "{name} at {q}");
         }
+    }
+}
+
+/// The GP fitness of `e` computed row by row with [`Expr::eval`]: the
+/// reference the column-wise kernel must reproduce bit for bit.
+fn row_fitness(e: &Expr, data: &Dataset, parsimony: f64) -> f64 {
+    let mut total = 0.0;
+    for (row, &target) in data.x.iter().zip(&data.y) {
+        let p = e.eval(row);
+        if !p.is_finite() {
+            return f64::INFINITY;
+        }
+        total += ((p - target) / target).abs();
+    }
+    100.0 * total / data.len() as f64 + parsimony * e.size() as f64
+}
+
+/// An input value that is ordinary most of the time and otherwise zero,
+/// a (near-)zero divisor, NaN or large enough to overflow.
+fn awkward_input(g: &mut SplitMix64) -> f64 {
+    match g.next_below(10) {
+        0 => 0.0,
+        1 => 1e-13,
+        2 => f64::NAN,
+        3 => 1e120,
+        4 => -1e120,
+        _ => g.uniform(-20.0, 20.0),
+    }
+}
+
+/// The column-wise fitness kernel equals the row loop over
+/// `Expr::eval` on the same tree, bit for bit, on random genomes over
+/// data with zero and NaN divisors and overflow to ±inf.
+#[test]
+fn genome_fitness_kernel_matches_row_eval() {
+    let (mut finite, mut infinite) = (0, 0);
+    check("genome_fitness_kernel_matches_row_eval", 256, |g| {
+        let n_vars = 1 + g.next_below(3) as usize;
+        let rows = 1 + g.next_below(24) as usize;
+        let x: Vec<Vec<f64>> =
+            (0..rows).map(|_| (0..n_vars).map(|_| awkward_input(g)).collect()).collect();
+        let y: Vec<f64> = (0..rows).map(|_| g.uniform(0.01, 100.0)).collect();
+        let data = Dataset::new(x, y);
+        let depth = 1 + g.next_below(7) as usize;
+        let grown = Genome::grow(g, n_vars, depth, (-10.0, 10.0));
+        // Zero some constants, so protected division takes both branches.
+        let mut nodes = grown.nodes().to_vec();
+        for n in &mut nodes {
+            if let Node::Const(c) = n {
+                if g.chance(0.3) {
+                    *c = 0.0;
+                }
+            }
+        }
+        let genome = Genome::new(nodes);
+        let parsimony = g.uniform(0.0, 0.1);
+        let kernel = Columns::new(&data).fitness(&genome, parsimony);
+        let e = genome.to_expr();
+        let reference = row_fitness(&e, &data, parsimony);
+        assert_eq!(kernel.to_bits(), reference.to_bits(), "{e}: {kernel} vs {reference}");
+        if kernel.is_finite() {
+            finite += 1;
+        } else {
+            infinite += 1;
+        }
+    });
+    assert!(finite > 0 && infinite > 0, "{finite} finite, {infinite} infinite fitnesses");
+}
+
+/// Flattening an expression and rebuilding it is the identity, and the
+/// genome's size and depth are the tree's.
+#[test]
+fn genome_roundtrips_expr() {
+    check("genome_roundtrips_expr", CASES * 4, |g| {
+        let n_vars = 1 + g.next_below(3) as usize;
+        let depth = 1 + g.next_below(8) as usize;
+        let e = Expr::random(g, n_vars, depth, (-8.0, 8.0));
+        let genome = Genome::flatten(&e);
+        assert_eq!(genome.to_expr(), e);
+        assert_eq!(genome.size(), e.size(), "{e}");
+        assert_eq!(genome.depth(), e.depth(), "{e}");
+    });
+}
+
+/// Calibration fits its restarts in parallel; the expression it keeps is
+/// the one a sequential loop of `symreg::fit` over the same restarts,
+/// splits and seeds picks (first lowest held-out MAPE wins).
+#[test]
+fn calibration_restarts_match_sequential_fits() {
+    use besst::experiments::calibration::{calibrate, CalibrationConfig};
+    use besst::experiments::paper;
+    use besst::machine::presets;
+
+    let machine = presets::quartz();
+    let grid = [(5, 8), (10, 8), (15, 8), (5, 64), (10, 64), (15, 64), (20, 64)];
+    let cfg = CalibrationConfig {
+        samples_per_point: 4,
+        symreg: SymRegConfig { population: 48, generations: 8, ..Default::default() },
+        symreg_restarts: 3,
+        ..paper::default_calibration()
+    };
+    let cal = calibrate(&machine, paper::regions(&machine), &grid, &cfg);
+    assert!(!cal.kernels.is_empty());
+    for k in &cal.kernels {
+        let x: Vec<Vec<f64>> = k.point_means.iter().map(|(p, _)| p.clone()).collect();
+        let y: Vec<f64> = k.point_means.iter().map(|(_, v)| *v).collect();
+        let data = Dataset::new(x, y);
+        let mut best: Option<(f64, Expr)> = None;
+        for restart in 0..cfg.symreg_restarts {
+            let (tr, te) =
+                train_test_split(data.len(), cfg.test_frac, cfg.seed ^ (u64::from(restart) * 7919));
+            let mut sr = cfg.symreg.clone();
+            sr.seed = cfg.symreg.seed.wrapping_add(u64::from(restart) * 0x5EED);
+            let r = symreg::fit(&data.subset(&tr), Some(&data.subset(&te)), &sr);
+            let score = r.test_mape.unwrap_or(r.train_mape);
+            if best.as_ref().is_none_or(|(s, _)| score < *s) {
+                best = Some((score, r.expr));
+            }
+        }
+        let Some(PerfModel::Regression { expr, .. }) = cal.bundle.get(&k.kernel) else {
+            panic!("{}: not a regression model", k.kernel);
+        };
+        assert_eq!(*expr, best.expect("restarts ran").1, "{}", k.kernel);
     }
 }
