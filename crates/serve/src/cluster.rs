@@ -38,6 +38,14 @@
 //! counter, and at zero the shard rejoins *on probation* (Suspect) after
 //! resyncing its owned quarantine keys from the surviving replicas.
 //!
+//! Detector updates are batch-ordered, like quarantine commits: a batch
+//! routes against its batch-start [`Cluster::alive_mask`] plus each
+//! query's own avoid set, records every attempt, and
+//! [`Cluster::commit_attempts`] applies them in input order after the
+//! batch. Which shard a query hits — and so every keyed storm decision —
+//! therefore never depends on which concurrent query reached the
+//! detector first.
+//!
 //! ## Exactness under failover
 //!
 //! The batch engine reads quarantine state through
@@ -169,6 +177,28 @@ struct Slot {
     rejoin_ticks: u32,
 }
 
+/// A successful attempt resets the consecutive counter and clears
+/// probation. It never resurrects a Dead shard — only the rejoin path
+/// does that, after a resync.
+fn record_success(slot: &mut Slot) {
+    if slot.health != ShardHealth::Dead {
+        slot.consecutive = 0;
+        slot.health = ShardHealth::Healthy;
+    }
+}
+
+/// One routed attempt, as a batch's ledger records it for
+/// [`Cluster::commit_attempts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// The shard the attempt ran on.
+    pub shard: u32,
+    /// What it says about that shard: `Some(true)` a success,
+    /// `Some(false)` a shard-attributed failure ([`ServeError::ShardLost`]),
+    /// `None` nothing (the scenario's own panic or error).
+    pub healthy: Option<bool>,
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     deaths: AtomicU64,
@@ -236,32 +266,30 @@ impl Cluster {
         &self.ring
     }
 
-    /// Route `key` to a shard: the first non-dead shard in ring-successor
-    /// order that is not in `avoid` (the caller's per-query set of shards
-    /// that already failed this query). Falls back to the first non-dead
-    /// shard, then to the primary owner — the cluster always answers,
-    /// even with every shard storming; total loss of the owner set only
-    /// costs cache locality.
-    ///
-    /// Walking past a dead shard ticks its rejoin counter; at zero the
-    /// shard resyncs from replicas and rejoins on probation.
+    /// Route `key` against the detector's current view: see
+    /// [`Cluster::route_among`].
     pub fn route(&self, key: u64, avoid: &[u32]) -> u32 {
+        self.route_among(&self.alive_mask(), key, avoid)
+    }
+
+    /// Route `key` to a shard against the health snapshot `alive` (the
+    /// batch engine passes its batch-start [`Cluster::alive_mask`]): the
+    /// first alive shard in ring-successor order that is not in `avoid`
+    /// (the caller's per-query set of shards that already failed this
+    /// query). Falls back to the first alive shard, then to the primary
+    /// owner — the cluster always answers, even with every shard
+    /// storming; total loss of the owner set only costs cache locality.
+    ///
+    /// Routing changes no detector state, so a query's route depends on
+    /// the snapshot and its own attempts only, never on which concurrent
+    /// query finished first.
+    pub fn route_among(&self, alive: &[bool], key: u64, avoid: &[u32]) -> u32 {
         let order = self.ring.successor_order(key);
-        let mut det = lock(&self.detector);
-        let mut chosen = None;
-        for &s in &order {
-            if det[s as usize].health == ShardHealth::Dead {
-                self.tick_rejoin(&mut det, s);
-            }
-            if det[s as usize].health != ShardHealth::Dead && !avoid.contains(&s) {
-                chosen = Some(s);
-                break;
-            }
-        }
-        let chosen = chosen
-            .or_else(|| {
-                order.iter().copied().find(|&s| det[s as usize].health != ShardHealth::Dead)
-            })
+        let chosen = order
+            .iter()
+            .copied()
+            .find(|&s| alive[s as usize] && !avoid.contains(&s))
+            .or_else(|| order.iter().copied().find(|&s| alive[s as usize]))
             .unwrap_or(order[0]);
         if chosen != order[0] {
             self.counters.failovers.fetch_add(1, Ordering::Relaxed);
@@ -269,12 +297,46 @@ impl Cluster {
         chosen
     }
 
-    /// Record a shard-attributed failure ([`ServeError::ShardLost`]) and
-    /// advance the detector.
-    pub fn record_failure(&self, shard: u32) {
-        self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
+    /// Apply one query's routed attempts to the failure detector, in the
+    /// order they ran. The batch engine calls this after the batch, in
+    /// input order, so detector trajectories replay from the seed.
+    ///
+    /// Each attempt first walks `key`'s successor order up to the shard
+    /// it ran on and ticks the rejoin counter of every shard on that walk
+    /// that is Dead at this point of the commit: the batch routed past
+    /// it, or it died after the batch's snapshot and a live view would
+    /// have skipped it. At zero a shard resyncs from replicas and rejoins
+    /// on probation. Then the attempt's verdict lands on its shard.
+    pub fn commit_attempts(&self, key: u64, attempts: &[Attempt]) {
+        if attempts.is_empty() {
+            return;
+        }
         let mut det = lock(&self.detector);
-        let slot = &mut det[shard as usize];
+        let mut order: Option<Vec<u32>> = None;
+        for a in attempts {
+            if det.iter().any(|s| s.health == ShardHealth::Dead) {
+                let order = order.get_or_insert_with(|| self.ring.successor_order(key));
+                for &s in order.iter() {
+                    if det[s as usize].health == ShardHealth::Dead {
+                        self.tick_rejoin(&mut det, s);
+                    }
+                    if s == a.shard {
+                        break;
+                    }
+                }
+            }
+            match a.healthy {
+                Some(true) => record_success(&mut det[a.shard as usize]),
+                Some(false) => self.record_failure(&mut det[a.shard as usize]),
+                None => {}
+            }
+        }
+    }
+
+    /// A shard-attributed failure ([`ServeError::ShardLost`]) advances
+    /// the detector.
+    fn record_failure(&self, slot: &mut Slot) {
+        self.counters.shard_failures.fetch_add(1, Ordering::Relaxed);
         if slot.health == ShardHealth::Dead {
             return;
         }
@@ -288,19 +350,7 @@ impl Cluster {
         }
     }
 
-    /// Record a successful attempt on `shard`: resets the consecutive
-    /// counter and clears probation. Never resurrects a Dead shard —
-    /// only the rejoin path does that, after a resync.
-    pub fn record_success(&self, shard: u32) {
-        let mut det = lock(&self.detector);
-        let slot = &mut det[shard as usize];
-        if slot.health != ShardHealth::Dead {
-            slot.consecutive = 0;
-            slot.health = ShardHealth::Healthy;
-        }
-    }
-
-    /// One routing walk skipped dead `shard`; count it toward rejoin.
+    /// One walk passed dead `shard`; count it toward rejoin.
     fn tick_rejoin(&self, det: &mut [Slot], shard: u32) {
         let slot = &mut det[shard as usize];
         slot.rejoin_ticks = slot.rejoin_ticks.saturating_sub(1);
@@ -336,8 +386,9 @@ impl Cluster {
         *lock(&self.shards[shard as usize].quarantine) = fresh;
     }
 
-    /// Shards currently not Dead, as a mask.
-    fn alive_mask(&self) -> Vec<bool> {
+    /// Shards currently not Dead, as a mask — the health snapshot a
+    /// batch routes against.
+    pub fn alive_mask(&self) -> Vec<bool> {
         lock(&self.detector).iter().map(|s| s.health != ShardHealth::Dead).collect()
     }
 
@@ -466,34 +517,49 @@ mod tests {
         Cluster::new(cfg, 8).expect("valid config")
     }
 
+    /// A key whose primary owner is `shard`.
+    fn key_of(c: &Cluster, shard: u32) -> u64 {
+        (0..).find(|&k| c.ring().primary(k) == shard).expect("every shard owns keys")
+    }
+
+    fn attempts(shard: u32, healthy: bool, n: u32) -> Vec<Attempt> {
+        vec![Attempt { shard, healthy: Some(healthy) }; n as usize]
+    }
+
     fn kill(c: &Cluster, shard: u32) {
-        for _ in 0..c.config().dead_after {
-            c.record_failure(shard);
-        }
+        c.commit_attempts(key_of(c, shard), &attempts(shard, false, c.config().dead_after));
         assert_eq!(c.health()[shard as usize], ShardHealth::Dead);
+    }
+
+    /// Route `key` against the live view and commit a success there, as
+    /// a one-query batch would.
+    fn route_and_commit(c: &Cluster, key: u64) -> u32 {
+        let s = c.route(key, &[]);
+        c.commit_attempts(key, &attempts(s, true, 1));
+        s
     }
 
     #[test]
     fn detector_walks_healthy_suspect_dead_rejoin() {
         let c = cluster(4, 2);
+        let key = key_of(&c, 1);
         assert_eq!(c.health(), vec![ShardHealth::Healthy; 4]);
-        c.record_failure(1);
-        c.record_failure(1);
+        c.commit_attempts(key, &attempts(1, false, 2));
         assert_eq!(c.health()[1], ShardHealth::Suspect);
-        c.record_success(1);
+        c.commit_attempts(key, &attempts(1, true, 1));
         assert_eq!(c.health()[1], ShardHealth::Healthy, "success clears suspicion");
         kill(&c, 1);
-        c.record_success(1);
+        // An attempt routed to shard 1 from a stale snapshot counts as a
+        // walk past it, never as a resurrection.
+        c.commit_attempts(key, &attempts(1, true, 1));
         assert_eq!(c.health()[1], ShardHealth::Dead, "success never resurrects");
-        // Routing any key owned by shard 1 ticks its rejoin counter; the
-        // final tick completes the rejoin mid-walk, so that route may
-        // land on the freshly rejoined shard again.
-        let key = (0..).find(|&k| c.ring().primary(k) == 1).expect("shard 1 owns keys");
-        for _ in 0..c.config().rejoin_after - 1 {
-            let s = c.route(key, &[]);
-            assert_ne!(s, 1, "dead shards are skipped before rejoin completes");
+        // Every committed walk over shard 1 ticks its rejoin counter; the
+        // final tick completes the rejoin.
+        for _ in 0..c.config().rejoin_after - 2 {
+            assert_ne!(route_and_commit(&c, key), 1, "dead shards are skipped before rejoin");
         }
-        c.route(key, &[]);
+        assert_eq!(c.health()[1], ShardHealth::Dead);
+        route_and_commit(&c, key);
         assert_eq!(c.health()[1], ShardHealth::Suspect, "rejoined on probation");
         let s = c.stats();
         assert_eq!((s.deaths, s.rejoins), (1, 1));
@@ -510,6 +576,17 @@ mod tests {
         assert_eq!(c.route(key, &[]), order[1], "next successor absorbs the keys");
         // The avoid set steers around shards that already failed a query.
         assert_eq!(c.route(key, &[order[1]]), order[2]);
+    }
+
+    #[test]
+    fn batch_routes_against_its_snapshot_until_commit() {
+        let c = cluster(4, 2);
+        let key = 0xFEED_F00D;
+        let order = c.ring().successor_order(key);
+        let snapshot = c.alive_mask();
+        kill(&c, order[0]);
+        assert_eq!(c.route_among(&snapshot, key, &[]), order[0], "a batch keeps its view");
+        assert_eq!(c.route(key, &[]), order[1], "the next batch sees the death");
     }
 
     #[test]
@@ -531,7 +608,7 @@ mod tests {
     #[test]
     fn rejoined_shard_resyncs_owned_keys_from_replicas() {
         let c = cluster(4, 2);
-        let fp = (0..).find(|&k| c.ring().primary(k) == 2).expect("shard 2 owns keys");
+        let fp = key_of(&c, 2);
         c.commit_quarantine(fp, true);
         kill(&c, 2);
         // While shard 2 is down its replica takes two more strikes and
@@ -539,7 +616,7 @@ mod tests {
         c.commit_quarantine(fp, true);
         c.commit_quarantine(fp, true);
         for _ in 0..c.config().rejoin_after {
-            c.route(fp, &[]);
+            route_and_commit(&c, fp);
         }
         assert_eq!(c.health()[2], ShardHealth::Suspect);
         assert_eq!(

@@ -15,6 +15,13 @@
 //! rule D6 for this crate). The byte cap applies to the raw line before
 //! `\r` stripping.
 //!
+//! Write path: every response is rendered with its `\n` into one buffer
+//! and handed to one group-commit writer (`GroupWriter`), which writes
+//! whole lines only — each at once on an idle connection, many per write
+//! under load. An ordered batch, terminator included, is a single write.
+//! TCP connections run with `TCP_NODELAY`, so no line waits on the
+//! client's ACK.
+//!
 //! When the server runs with chaos, the connection layer injects its
 //! share of the `serve` preset: query lines may be duplicated on read
 //! (the duplicate is a real submission, answered identically) and
@@ -22,6 +29,7 @@
 //! line and resubmits). Both are counted in
 //! [`crate::chaos::ChaosStats`].
 
+use crate::chaos::Chaos;
 use crate::protocol::{parse_header, parse_request, render_response_idx, BatchMode};
 use crate::query::ScenarioQuery;
 use crate::server::{Outcome, Response, Server};
@@ -203,8 +211,9 @@ pub fn serve_lines<R: Read, W: Write + Send>(
     conn: u64,
 ) -> std::io::Result<u64> {
     let mut reader = BufReader::new(reader);
-    let writer = Mutex::new(writer);
+    let writer = GroupWriter::new(writer);
     let chaos = server.config().chaos.clone();
+    let chaos = chaos.as_ref();
     let mut batches = 0u64;
     loop {
         let batch = read_batch(&mut reader, server, conn)?;
@@ -212,41 +221,27 @@ pub fn serve_lines<R: Read, W: Write + Send>(
             break; // EOF with nothing pending
         }
         batches += 1;
-        let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        // A malformed header's rejection leads the batch and never
-        // carries an idx (the batch fell back to ordered mode).
-        if let Some(resp) = &batch.header_reject {
-            write_response(&writer, resp, None, chaos.as_ref(), conn, 1 << 48, &io_error);
-        }
         let (origins, queries): (Vec<Origin>, Vec<ScenarioQuery>) =
             batch.queries.into_iter().unzip();
         match batch.mode {
             BatchMode::Stream => {
+                let send = |origin: Origin, resp: &Response| {
+                    // After an I/O error the connection is gone: drop
+                    // the line without rendering it.
+                    if writer.failed() {
+                        return;
+                    }
+                    if let Some(line) = framed(resp, Some(origin.pos), chaos, conn, origin.seq()) {
+                        writer.send(line.as_bytes());
+                    }
+                };
                 // Rejections are known before the batch runs; stream
                 // them out first, idx-tagged like everything else.
                 for (origin, resp) in &batch.rejects {
-                    write_response(
-                        &writer,
-                        resp,
-                        Some(origin.pos),
-                        chaos.as_ref(),
-                        conn,
-                        origin.seq(),
-                        &io_error,
-                    );
+                    send(*origin, resp);
                 }
-                server.handle_batch_indexed(&queries, &|idx, resp| {
-                    let origin = origins[idx];
-                    write_response(
-                        &writer,
-                        &resp,
-                        Some(origin.pos),
-                        chaos.as_ref(),
-                        conn,
-                        origin.seq(),
-                        &io_error,
-                    );
-                });
+                server.handle_batch_indexed(&queries, &|idx, resp| send(origins[idx], &resp));
+                writer.send(b"\n");
             }
             BatchMode::Ordered => {
                 // Buffer completion-order results, then emit strictly in
@@ -265,53 +260,124 @@ pub fn serve_lines<R: Read, W: Write + Send>(
                     }
                 }
                 out.sort_by_key(|(origin, _)| (origin.pos, origin.copy));
-                for (origin, resp) in &out {
-                    write_response(
-                        &writer,
-                        resp,
-                        None,
-                        chaos.as_ref(),
-                        conn,
-                        origin.seq(),
-                        &io_error,
-                    );
+                // A malformed header's rejection leads the batch and
+                // never carries an idx (the batch fell back to ordered
+                // mode, so only this branch can see one).
+                let mut text = String::new();
+                if let Some(resp) = &batch.header_reject {
+                    text.extend(framed(resp, None, chaos, conn, 1 << 48));
                 }
+                for (origin, resp) in &out {
+                    text.extend(framed(resp, None, chaos, conn, origin.seq()));
+                }
+                text.push('\n');
+                writer.send(text.as_bytes());
             }
         }
-        if let Some(e) = io_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            return Err(e);
-        }
-        let mut w = lock(&writer);
-        w.write_all(b"\n")?;
-        w.flush()?;
+        writer.end_batch()?;
     }
     Ok(batches)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_response<W: Write>(
-    writer: &Mutex<W>,
+/// The line answering `resp`, framed with its `'\n'`, or `None` when
+/// connection chaos drops it: the line is lost on the wire, and the
+/// client-side contract (resubmit on missing id) is exercised by the
+/// chaos harness.
+fn framed(
     resp: &Response,
     idx: Option<u64>,
-    chaos: Option<&crate::chaos::Chaos>,
+    chaos: Option<&Chaos>,
     conn: u64,
     seq: u64,
-    io_error: &Mutex<Option<std::io::Error>>,
-) {
+) -> Option<String> {
     if chaos.is_some_and(|c| c.drops_response(conn, seq)) {
-        // Injected connection fault: the line is lost on the wire. The
-        // client-side contract (resubmit on missing id) is exercised by
-        // the chaos harness.
-        return;
+        return None;
     }
-    let line = render_response_idx(resp, idx);
-    let mut w = lock(writer);
-    let r = w.write_all(line.as_bytes()).and_then(|()| w.write_all(b"\n"));
-    if let Err(e) = r {
-        let mut slot = lock(io_error);
-        if slot.is_none() {
-            *slot = Some(e);
+    let mut line = render_response_idx(resp, idx);
+    line.push('\n');
+    Some(line)
+}
+
+/// Group-commit writer: the one path from completed responses to the
+/// sink.
+///
+/// A worker hands [`GroupWriter::send`] whole framed lines. They are
+/// appended to a shared pending buffer; if no flush is running, that
+/// worker becomes the flusher and writes everything pending — including
+/// lines appended while it wrote — until the buffer is empty. Other
+/// workers return as soon as their bytes are appended and never block on
+/// a syscall. So an idle connection gets each line at once, a busy one
+/// many lines per write, and no write ever splits a line. After the
+/// first I/O error every later send is dropped; [`GroupWriter::end_batch`]
+/// reports the error.
+struct GroupWriter<W> {
+    pending: Mutex<Pending>,
+    /// The sink and the flusher's spare buffer; only the flusher (or
+    /// `end_batch`, when no flush can run) locks it.
+    out: Mutex<(W, Vec<u8>)>,
+}
+
+#[derive(Default)]
+struct Pending {
+    bytes: Vec<u8>,
+    flushing: bool,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> GroupWriter<W> {
+    fn new(sink: W) -> Self {
+        GroupWriter { pending: Mutex::new(Pending::default()), out: Mutex::new((sink, Vec::new())) }
+    }
+
+    /// Whether a write has failed; later sends are dropped.
+    fn failed(&self) -> bool {
+        lock(&self.pending).error.is_some()
+    }
+
+    /// Append `framed` (whole lines) and, unless a flush is already
+    /// running, flush until nothing is pending.
+    fn send(&self, framed: &[u8]) {
+        {
+            let mut p = lock(&self.pending);
+            if p.error.is_some() {
+                return;
+            }
+            p.bytes.extend_from_slice(framed);
+            if p.flushing {
+                return; // the running flusher picks these bytes up
+            }
+            p.flushing = true;
         }
+        let mut out = lock(&self.out);
+        let (sink, buf) = &mut *out;
+        loop {
+            buf.clear();
+            {
+                let mut p = lock(&self.pending);
+                if p.bytes.is_empty() {
+                    p.flushing = false;
+                    return;
+                }
+                std::mem::swap(&mut p.bytes, buf);
+            }
+            if let Err(e) = sink.write_all(buf) {
+                let mut p = lock(&self.pending);
+                p.bytes.clear();
+                p.flushing = false;
+                p.error = Some(e);
+                return;
+            }
+        }
+    }
+
+    /// Close a batch: the batch's first I/O error, else flush the sink.
+    /// Called once every send of the batch has returned, so no flush is
+    /// running.
+    fn end_batch(&self) -> std::io::Result<()> {
+        if let Some(e) = lock(&self.pending).error.take() {
+            return Err(e);
+        }
+        lock(&self.out).0.flush()
     }
 }
 
@@ -348,6 +414,11 @@ pub fn serve_tcp(
 }
 
 fn serve_connection(server: &Server, stream: &TcpStream, conn: u64) -> std::io::Result<u64> {
+    // Each response is written as soon as it completes, in whole lines;
+    // without NODELAY, Nagle's algorithm would hold every write after the
+    // first until the client's ACK, which a client waiting on its answer
+    // sends only with its next request or after its delayed-ACK timer.
+    stream.set_nodelay(true)?;
     let reader = stream.try_clone()?;
     serve_lines(server, reader, stream, conn)
 }
@@ -359,6 +430,135 @@ mod tests {
 
     fn server() -> Server {
         Server::new(ServeConfig::default()).expect("pool starts")
+    }
+
+    /// A sink that records the bytes of each `write` call.
+    #[derive(Default)]
+    struct Recorder(Vec<Vec<u8>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn field(v: &besst_des::json::Value, key: &str) -> u64 {
+        v.as_obj().and_then(|o| o.get(key)).and_then(|f| f.as_u64()).expect("integer field")
+    }
+
+    /// `n` query lines with ids and seeds `0..n`.
+    fn query_lines(n: u64) -> String {
+        (0..n).map(|i| format!("{{\"id\":{i},\"steps\":10,\"seed\":{i}}}\n")).collect()
+    }
+
+    #[test]
+    fn first_write_error_ends_the_batch_after_one_attempt() {
+        struct Broken(usize);
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let input = format!("{{\"mode\":\"stream\",\"v\":2}}\nnot json\n{}\n", query_lines(16));
+        let mut sink = Broken(0);
+        let err = serve_lines(&server(), input.as_bytes(), &mut sink, 1).expect_err("sink fails");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(sink.0, 1, "no write after the first failure");
+    }
+
+    #[test]
+    fn ordered_batch_is_one_write_with_its_terminator() {
+        // A plain ordered batch, then one whose malformed header falls
+        // back to ordered mode with the rejection leading.
+        let input = format!(
+            "{}not json\n\n{{\"mode\":\"stream\",\"v\":1}}\n{{\"id\":9,\"steps\":20}}\n\n",
+            query_lines(6)
+        );
+        let mut sink = Recorder::default();
+        assert_eq!(serve_lines(&server(), input.as_bytes(), &mut sink, 1).expect("serves"), 2);
+        assert_eq!(sink.0.len(), 2, "one write per ordered batch");
+        let first = String::from_utf8(sink.0[0].clone()).expect("utf8");
+        let second = String::from_utf8(sink.0[1].clone()).expect("utf8");
+        assert!(first.ends_with("\n\n") && second.ends_with("\n\n"), "terminator rides along");
+        let lines: Vec<&str> = first.trim_end().lines().collect();
+        assert_eq!(lines.len(), 7, "{first}");
+        for (i, line) in lines[..6].iter().enumerate() {
+            assert!(line.contains(&format!("\"id\":{i},")), "input order: {first}");
+        }
+        assert!(lines[6].contains("bad_request"), "{first}");
+        let lines: Vec<&str> = second.trim_end().lines().collect();
+        assert_eq!(lines.len(), 2, "{second}");
+        assert!(lines[0].contains("version") && lines[1].contains("\"id\":9"), "{second}");
+    }
+
+    #[test]
+    fn stream_writes_carry_whole_lines() {
+        const N: usize = 48;
+        let input = format!("{{\"mode\":\"stream\",\"v\":2}}\n{}\n", query_lines(N as u64));
+        let mut sink = Recorder::default();
+        serve_lines(&server(), input.as_bytes(), &mut sink, 1).expect("serves");
+        assert!(sink.0.len() <= N + 1, "{} writes for {N} lines", sink.0.len());
+        for w in &sink.0 {
+            assert!(w.ends_with(b"\n"), "a write split a line: {:?}", String::from_utf8_lossy(w));
+        }
+        let text = String::from_utf8(sink.0.concat()).expect("utf8");
+        assert!(text.ends_with("\n\n"), "{text}");
+        let mut idx: Vec<u64> = text
+            .trim_end()
+            .lines()
+            .map(|l| {
+                let v = besst_des::json::parse(l).expect("every line is whole JSON");
+                field(&v, "idx")
+            })
+            .collect();
+        idx.sort_unstable();
+        assert_eq!(idx, (0..N as u64).collect::<Vec<_>>(), "exactly once per query");
+    }
+
+    #[test]
+    fn chaos_drops_exactly_the_keyed_lines() {
+        const N: u64 = 96;
+        const CONN: u64 = 7;
+        let seed = 0x5EED;
+        let oracle = Chaos::new(seed);
+        // Lines per query position: each submitted copy survives unless
+        // its (conn, pos, copy) draw drops it.
+        let copies: Vec<u64> =
+            (0..N).map(|pos| if oracle.duplicates_query(CONN, pos) { 2 } else { 1 }).collect();
+        let expected: Vec<usize> = (0..N)
+            .map(|pos| {
+                (0..copies[pos as usize])
+                    .filter(|&copy| !oracle.drops_response(CONN, Origin { pos, copy }.seq()))
+                    .count()
+            })
+            .collect();
+        let submitted: u64 = copies.iter().sum();
+        assert!(submitted > N, "the seed must duplicate some lines");
+        assert!(expected.iter().sum::<usize>() < submitted as usize, "and drop some");
+        for header in ["", "{\"mode\":\"stream\",\"v\":2}\n"] {
+            let chaotic = Server::new(ServeConfig {
+                chaos: Some(Chaos::new(seed)),
+                ..ServeConfig::default()
+            })
+            .expect("pool starts");
+            let input = format!("{header}{}\n", query_lines(N));
+            let mut out: Vec<u8> = Vec::new();
+            serve_lines(&chaotic, input.as_bytes(), &mut out, CONN).expect("serves");
+            let mut got = vec![0usize; N as usize];
+            for line in String::from_utf8(out).expect("utf8").trim_end().lines() {
+                let v = besst_des::json::parse(line).expect("whole JSON line");
+                got[field(&v, "id") as usize] += 1;
+            }
+            assert_eq!(got, expected, "header {header:?}");
+        }
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! against the server's own workers and cache.
 //!
 //! Determinism contract (what the chaos harness asserts): quarantine
-//! decisions are taken against the state *before* the batch and
-//! committed in input order *after* it, so responses never depend on
-//! worker scheduling; deadlines gate retries and admission-to-run, never
-//! a completed answer, so bounded injected delays cannot flip a success
-//! into a timeout.
+//! decisions and shard routing are taken against the state *before* the
+//! batch, and quarantine deltas and failure-detector outcomes are
+//! committed in input order *after* it, so neither responses nor
+//! cluster counters depend on worker scheduling; deadlines gate retries
+//! and admission-to-run, never a completed answer, so bounded injected
+//! delays cannot flip a success into a timeout.
 
 use crate::cache::{CacheStats, Lookup};
 use crate::chaos::{Chaos, ChaosStats};
-use crate::cluster::{Cluster, ClusterConfig, ClusterStats};
+use crate::cluster::{Attempt, Cluster, ClusterConfig, ClusterStats};
 use crate::query::ScenarioQuery;
 use crate::scenario::{compute_baseline, run_overlay, QueryAnswer};
 use crate::ServeError;
@@ -153,18 +154,19 @@ pub struct Server {
     counters: Counters,
 }
 
-/// Post-batch quarantine bookkeeping for one query, committed in input
-/// order so outcomes never depend on worker scheduling.
-enum LedgerEntry {
-    /// Ran to a verdict: record success (reset) or exhausted failure.
-    Ran {
-        /// The query's fingerprint.
-        fp: u64,
-        /// Whether the verdict was an exhausted (permanent) failure.
-        exhausted: bool,
-    },
-    /// Shed, fast-failed, or timed out without running: no change.
-    Untouched,
+/// Post-batch bookkeeping for one query, committed in input order so
+/// neither the failure detector nor the quarantine ever depends on
+/// worker scheduling.
+#[derive(Default)]
+struct LedgerEntry {
+    /// The query's fingerprint.
+    fp: u64,
+    /// Every routed attempt, in the order it ran.
+    attempts: Vec<Attempt>,
+    /// The quarantine verdict of a query that ran to one: exhausted
+    /// (permanent) failure or not. `None` (shed, fast-failed, or timed
+    /// out) changes nothing.
+    exhausted: Option<bool>,
 }
 
 impl Server {
@@ -221,8 +223,11 @@ impl Server {
         // shard; alive owners agree on every key, so this equals the
         // single-map view (see `crate::cluster` docs).
         let pre_quarantine: BTreeMap<u64, u32> = self.cluster.quarantine_snapshot();
+        // Health snapshot: the whole batch routes against it, and the
+        // detector learns from the batch only when the ledger commits.
+        let alive = self.cluster.alive_mask();
         let ledger: Vec<Mutex<LedgerEntry>> =
-            queries.iter().map(|_| Mutex::new(LedgerEntry::Untouched)).collect();
+            queries.iter().map(|_| Mutex::new(LedgerEntry::default())).collect();
 
         let admitted = queries.len().min(self.cfg.queue_capacity);
         // Shed the tail beyond the admission bound up front: flat,
@@ -240,18 +245,20 @@ impl Server {
         }
 
         par_map(self.cfg.workers, queries[..admitted].iter().enumerate(), |(idx, q)| {
-            let (resp, entry) = self.run_one(q, batch_start, budget, &pre_quarantine);
+            let (resp, entry) = self.run_one(q, batch_start, budget, &pre_quarantine, &alive);
             *lock(&ledger[idx]) = entry;
             self.count_outcome(&resp.outcome);
             sink(idx, resp);
         });
 
-        // Commit quarantine deltas in input order, replicated to every
-        // alive owner of each fingerprint.
+        // Commit in input order: each query's attempts to the failure
+        // detector, then its quarantine delta, replicated to every alive
+        // owner of its fingerprint.
         for slot in ledger {
             let entry = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-            if let LedgerEntry::Ran { fp, exhausted } = entry {
-                self.cluster.commit_quarantine(fp, exhausted);
+            self.cluster.commit_attempts(entry.fp, &entry.attempts);
+            if let Some(exhausted) = entry.exhausted {
+                self.cluster.commit_quarantine(entry.fp, exhausted);
             }
         }
     }
@@ -277,20 +284,23 @@ impl Server {
         }
     }
 
-    /// Run one admitted query to a verdict.
+    /// Run one admitted query to a verdict, routing against the
+    /// batch's health snapshot `alive`.
     fn run_one(
         &self,
         q: &ScenarioQuery,
         batch_start: Instant,
         budget: Duration,
         pre_quarantine: &BTreeMap<u64, u32>,
+        alive: &[bool],
     ) -> (Response, LedgerEntry) {
         let fp = q.fingerprint();
+        let mut entry = LedgerEntry { fp, ..LedgerEntry::default() };
         if let Some(&failures) = pre_quarantine.get(&fp) {
             if failures >= self.cfg.quarantine_threshold {
                 return (
                     Response { id: q.id, outcome: Outcome::Err(ServeError::Quarantined { failures }) },
-                    LedgerEntry::Untouched,
+                    entry,
                 );
             }
         }
@@ -300,10 +310,7 @@ impl Server {
         let timeout = ServeError::Timeout { deadline_ms };
         if batch_start.elapsed() > budget {
             // Batch budget already gone: explicit marker, never a stall.
-            return (
-                Response { id: q.id, outcome: Outcome::Err(timeout) },
-                LedgerEntry::Untouched,
-            );
+            return (Response { id: q.id, outcome: Outcome::Err(timeout) }, entry);
         }
         let query_start = Instant::now();
         let mut retries = 0u32;
@@ -316,26 +323,28 @@ impl Server {
         // terminates in max_retries rounds.
         let mut avoided: Vec<u32> = Vec::new();
         loop {
-            let shard = self.cluster.route(fp, &avoided);
+            let shard = self.cluster.route_among(alive, fp, &avoided);
             let attempt_result = self.attempt(q, fp, shard, retries);
+            let healthy = match &attempt_result {
+                Ok(_) => Some(true),
+                Err(ServeError::ShardLost { .. }) => Some(false),
+                Err(_) => None,
+            };
+            entry.attempts.push(Attempt { shard, healthy });
             match attempt_result {
                 Ok((answer, cached)) => {
-                    self.cluster.record_success(shard);
+                    entry.exhausted = Some(false);
                     return (
                         Response {
                             id: q.id,
                             outcome: Outcome::Ok { answer, cached, retries },
                         },
-                        LedgerEntry::Ran { fp, exhausted: false },
+                        entry,
                     );
                 }
                 Err(ServeError::ShardLost { shard: lost }) => {
-                    self.cluster.record_failure(lost);
                     if query_start.elapsed() > deadline || batch_start.elapsed() > budget {
-                        return (
-                            Response { id: q.id, outcome: Outcome::Err(timeout) },
-                            LedgerEntry::Untouched,
-                        );
+                        return (Response { id: q.id, outcome: Outcome::Err(timeout) }, entry);
                     }
                     let all_failed = avoided.contains(&lost)
                         || avoided.len() as u32 + 1 >= self.cfg.cluster.shards;
@@ -346,32 +355,27 @@ impl Server {
                         std::thread::sleep(self.backoff(fp, retries));
                         retries += 1;
                     } else {
+                        entry.exhausted = Some(true);
                         return (
                             Response {
                                 id: q.id,
                                 outcome: Outcome::Err(ServeError::ShardLost { shard: lost }),
                             },
-                            LedgerEntry::Ran { fp, exhausted: true },
+                            entry,
                         );
                     }
                 }
                 Err(e) if e.transient() && retries < self.cfg.max_retries => {
                     if query_start.elapsed() > deadline || batch_start.elapsed() > budget {
                         // Out of time mid-retry: degrade to a marker.
-                        return (
-                            Response { id: q.id, outcome: Outcome::Err(timeout) },
-                            LedgerEntry::Untouched,
-                        );
+                        return (Response { id: q.id, outcome: Outcome::Err(timeout) }, entry);
                     }
                     std::thread::sleep(self.backoff(fp, retries));
                     retries += 1;
                 }
                 Err(e) => {
-                    let exhausted = e.transient(); // retries used up
-                    return (
-                        Response { id: q.id, outcome: Outcome::Err(e) },
-                        LedgerEntry::Ran { fp, exhausted },
-                    );
+                    entry.exhausted = Some(e.transient()); // retries used up
+                    return (Response { id: q.id, outcome: Outcome::Err(e) }, entry);
                 }
             }
         }

@@ -144,3 +144,45 @@ fn tcp_smoke_chaos_preset() {
     assert_eq!(summary.connections, CONNS);
     assert_eq!(summary.batches, used);
 }
+
+#[test]
+fn sequential_stream_queries_do_not_wait_on_acks() {
+    // One client, one connection, 40 single-query stream batches, each
+    // waiting for its terminator before the next is sent. A server that
+    // lets Nagle hold a reply's last bytes until the client's ACK makes
+    // every round trip wait out the client's delayed-ACK timer (about
+    // 40 ms); answered at once, the whole exchange takes a few ms of
+    // compute per query.
+    const ROUNDS: u64 = 40;
+    let (addr, handle) = spawn_server(ServeConfig::default(), 1);
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let start = std::time::Instant::now();
+    for i in 0..ROUNDS {
+        let batch = format!("{{\"mode\":\"stream\",\"v\":2}}\n{{\"id\":{i},\"steps\":10}}\n\n");
+        writer.write_all(batch.as_bytes()).expect("send batch");
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            // lint: allow(unbounded-wait) -- test client reading its own
+            // trusted in-process server; response lines are protocol-bounded
+            let n = reader.read_line(&mut line).expect("read response");
+            if n == 0 || line.trim().is_empty() {
+                break;
+            }
+            lines.push(line);
+        }
+        assert_eq!(lines.len(), 1, "round {i}: {lines:?}");
+        assert!(lines[0].contains(&format!("\"id\":{i},")), "round {i}: {lines:?}");
+    }
+    let elapsed = start.elapsed();
+    drop(writer);
+    drop(reader);
+    let summary = handle.join().expect("server thread").expect("serves");
+    assert_eq!(summary, TcpSummary { connections: 1, batches: ROUNDS });
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "{ROUNDS} round trips took {elapsed:?}: answers are waiting on ACKs"
+    );
+}

@@ -65,6 +65,13 @@ serve-storm:
     cargo test -p besst-serve --test ring_properties --test stream --test storm
     printf '{"mode":"stream","v":2}\n{"id":1,"steps":20,"ranks":8}\n{"id":2,"mode":"baseline"}\n\n' | cargo run --release --bin besst -- serve --shards 4 --replication 3 --storm 2
 
+# Storm replay loop: the storm suite's exact-replay test 20 times in a
+# row with default test threads. Shard routing and failure-detector
+# updates are batch-ordered, so crash and death counts must replay from
+# the seed on every run; raced routing failed about one run in eight.
+serve-replay:
+    for i in $(seq 1 20); do cargo test -q -p besst-serve --test storm storm_runs_replay_exactly_from_their_seed || exit 1; done
+
 # Markdown link checker: every relative link and docs/*.md cross-reference
 # in README.md, DESIGN.md and docs/ must resolve. See docs/README.md.
 doc-links:
