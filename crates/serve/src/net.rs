@@ -16,11 +16,10 @@
 //! `\r` stripping.
 //!
 //! Write path: every response is rendered with its `\n` into one buffer
-//! and handed to one group-commit writer (`GroupWriter`), which writes
-//! whole lines only — each at once on an idle connection, many per write
-//! under load. An ordered batch, terminator included, is a single write.
-//! TCP connections run with `TCP_NODELAY`, so no line waits on the
-//! client's ACK.
+//! and written whole by one writer (`LineWriter`) shared by the batch's
+//! workers: a stream line is one write, an ordered batch — terminator
+//! included — is one write. TCP connections run with `TCP_NODELAY`, so
+//! no line waits on the client's ACK.
 //!
 //! When the server runs with chaos, the connection layer injects its
 //! share of the `serve` preset: query lines may be duplicated on read
@@ -37,7 +36,7 @@ use crate::ServeError;
 use besst_des::threads::lock;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Longest request line accepted, bytes.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
@@ -211,7 +210,7 @@ pub fn serve_lines<R: Read, W: Write + Send>(
     conn: u64,
 ) -> std::io::Result<u64> {
     let mut reader = BufReader::new(reader);
-    let writer = GroupWriter::new(writer);
+    let mut writer = LineWriter::new(writer);
     let chaos = server.config().chaos.clone();
     let chaos = chaos.as_ref();
     let mut batches = 0u64;
@@ -298,86 +297,43 @@ fn framed(
     Some(line)
 }
 
-/// Group-commit writer: the one path from completed responses to the
-/// sink.
-///
-/// A worker hands [`GroupWriter::send`] whole framed lines. They are
-/// appended to a shared pending buffer; if no flush is running, that
-/// worker becomes the flusher and writes everything pending — including
-/// lines appended while it wrote — until the buffer is empty. Other
-/// workers return as soon as their bytes are appended and never block on
-/// a syscall. So an idle connection gets each line at once, a busy one
-/// many lines per write, and no write ever splits a line. After the
-/// first I/O error every later send is dropped; [`GroupWriter::end_batch`]
-/// reports the error.
-struct GroupWriter<W> {
-    pending: Mutex<Pending>,
-    /// The sink and the flusher's spare buffer; only the flusher (or
-    /// `end_batch`, when no flush can run) locks it.
-    out: Mutex<(W, Vec<u8>)>,
+/// The one path from rendered responses to the sink: each
+/// [`LineWriter::send`] is one `write_all` of whole framed lines under
+/// the sink's lock, so no write splits a line. After the first I/O error
+/// every later send is dropped; [`LineWriter::end_batch`] reports it.
+struct LineWriter<W> {
+    sink: Mutex<W>,
+    /// The batch's first I/O error, set under the sink's lock.
+    error: OnceLock<std::io::Error>,
 }
 
-#[derive(Default)]
-struct Pending {
-    bytes: Vec<u8>,
-    flushing: bool,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> GroupWriter<W> {
+impl<W: Write> LineWriter<W> {
     fn new(sink: W) -> Self {
-        GroupWriter { pending: Mutex::new(Pending::default()), out: Mutex::new((sink, Vec::new())) }
+        LineWriter { sink: Mutex::new(sink), error: OnceLock::new() }
     }
 
     /// Whether a write has failed; later sends are dropped.
     fn failed(&self) -> bool {
-        lock(&self.pending).error.is_some()
+        self.error.get().is_some()
     }
 
-    /// Append `framed` (whole lines) and, unless a flush is already
-    /// running, flush until nothing is pending.
+    /// Write `framed` (whole lines) in one `write_all`, unless a write
+    /// has already failed.
     fn send(&self, framed: &[u8]) {
-        {
-            let mut p = lock(&self.pending);
-            if p.error.is_some() {
-                return;
-            }
-            p.bytes.extend_from_slice(framed);
-            if p.flushing {
-                return; // the running flusher picks these bytes up
-            }
-            p.flushing = true;
-        }
-        let mut out = lock(&self.out);
-        let (sink, buf) = &mut *out;
-        loop {
-            buf.clear();
-            {
-                let mut p = lock(&self.pending);
-                if p.bytes.is_empty() {
-                    p.flushing = false;
-                    return;
-                }
-                std::mem::swap(&mut p.bytes, buf);
-            }
-            if let Err(e) = sink.write_all(buf) {
-                let mut p = lock(&self.pending);
-                p.bytes.clear();
-                p.flushing = false;
-                p.error = Some(e);
-                return;
+        let mut sink = lock(&self.sink);
+        if !self.failed() {
+            if let Err(e) = sink.write_all(framed) {
+                self.error.get_or_init(|| e);
             }
         }
     }
 
-    /// Close a batch: the batch's first I/O error, else flush the sink.
-    /// Called once every send of the batch has returned, so no flush is
-    /// running.
-    fn end_batch(&self) -> std::io::Result<()> {
-        if let Some(e) = lock(&self.pending).error.take() {
-            return Err(e);
+    /// Close a batch: its first I/O error, else flush the sink.
+    fn end_batch(&mut self) -> std::io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => lock(&self.sink).flush(),
         }
-        lock(&self.out).0.flush()
     }
 }
 
